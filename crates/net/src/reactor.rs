@@ -29,7 +29,7 @@
 use crate::protocol::{Frame, FrameCodec};
 use cwc_types::{CwcError, CwcResult, Micros};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -377,12 +377,7 @@ pub enum ReadStatus {
     Eof,
 }
 
-/// Per-read scratch size. Frames can be larger; the codec reassembles.
-/// Kept small because every connection owns one scratch buffer and a
-/// 10k-worker fleet holds 10k of them.
-const READ_CHUNK: usize = 8 * 1024;
-
-/// How many scratch reads a single [`Conn::fill`] performs before yielding
+/// How many codec reads a single [`Conn::fill`] performs before yielding
 /// back to the event loop. Level-triggered polling re-reports the fd, so a
 /// fast sender cannot monopolise one tick.
 const MAX_READS_PER_TICK: usize = 16;
@@ -394,7 +389,6 @@ const MAX_READS_PER_TICK: usize = 16;
 pub struct Conn {
     stream: TcpStream,
     codec: FrameCodec,
-    scratch: Vec<u8>,
     queue: VecDeque<WriteStep>,
     /// Byte offset already written within the queue's front `Bytes` step.
     head_written: usize,
@@ -427,7 +421,6 @@ impl Conn {
         Ok(Conn {
             stream,
             codec: FrameCodec::new(),
-            scratch: vec![0u8; READ_CHUNK],
             queue: VecDeque::new(),
             head_written: 0,
             queued_bytes: 0,
@@ -466,6 +459,20 @@ impl Conn {
     /// Unwritten outbound bytes — the backpressure signal.
     pub fn queued_bytes(&self) -> usize {
         self.queued_bytes
+    }
+
+    /// Unwritten bytes queued *behind* the write in progress: all of
+    /// [`Conn::queued_bytes`] except the rest of the first queued byte
+    /// step (the one being written, or the next one once a pause lifts).
+    /// One large frame alone never counts here, however slowly it drains;
+    /// frames piling up behind it do.
+    pub fn backlog(&self) -> usize {
+        let first = self.queue.iter().find_map(|step| match step {
+            WriteStep::Bytes(b) => Some(b.len()),
+            WriteStep::Pause(_) | WriteStep::Close => None,
+        });
+        let in_progress = first.map_or(0, |len| len.saturating_sub(self.head_written));
+        self.queued_bytes.saturating_sub(in_progress)
     }
 
     /// Whether the queue still holds work and is not paused — i.e. whether
@@ -552,19 +559,21 @@ impl Conn {
         }
     }
 
-    /// Reads whatever the socket holds into the frame codec (bounded per
-    /// call; level-triggered polling re-reports leftovers). Decode the
+    /// Reads from the socket straight into the frame codec's buffer until
+    /// a whole frame is buffered or the socket runs dry (bounded per call;
+    /// level-triggered polling re-reports leftovers). Stopping at a frame
+    /// boundary keeps what follows a large frame to one read's worth, so
+    /// the frame leaves the buffer without being copied. Decode the
     /// results with [`Conn::next_frame`].
     pub fn fill(&mut self) -> CwcResult<ReadStatus> {
         for _ in 0..MAX_READS_PER_TICK {
-            match self.stream.read(&mut self.scratch) {
-                Ok(0) => return Ok(ReadStatus::Eof),
-                Ok(n) => {
-                    self.codec
-                        .extend(self.scratch.get(..n).unwrap_or(&self.scratch));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(ReadStatus::Open),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            if self.codec.frame_ready() {
+                break;
+            }
+            match self.codec.read_from(&mut self.stream) {
+                Ok(true) => return Ok(ReadStatus::Eof),
+                Ok(false) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) => return Err(CwcError::Transport(format!("read: {e}"))),
             }
         }

@@ -1,8 +1,10 @@
 //! Property tests: every frame survives encode → (arbitrary fragmentation)
-//! → decode unchanged, and the decoder never panics on garbage.
+//! → decode unchanged, and the decoder never panics on garbage. Plus the
+//! pins under them: the CRC equals a bit-at-a-time reference, and every
+//! frame variant encodes to exactly the bytes it always has.
 
 use bytes::{Bytes, BytesMut};
-use cwc_net::{Frame, FrameCodec};
+use cwc_net::{crc32, Frame, FrameCodec};
 use cwc_types::{JobId, PhoneId, RadioTech};
 use proptest::prelude::*;
 
@@ -106,7 +108,166 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
     ]
 }
 
+/// CRC32 (IEEE, reflected) one bit at a time: the definition, with no
+/// tables, as the oracle for the table-driven [`crc32`].
+fn crc32_reference(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+#[test]
+fn crc32_reference_agrees_with_the_check_value() {
+    assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
+
+/// One frame of every variant and its wire bytes, as hex. Any change to
+/// the encoder that alters a single byte breaks this table.
+fn golden_frames() -> Vec<(Frame, &'static str)> {
+    vec![
+        (
+            Frame::Register {
+                phone: PhoneId(3),
+                clock_mhz: 1200,
+                cores: 2,
+                radio: RadioTech::ThreeG,
+                ram_kb: 1_048_576,
+            },
+            "00000016d60089ff0100000003000004b000000002030000000000100000",
+        ),
+        (
+            Frame::RegisterAck { server_time_us: 42 },
+            "000000091344f5fe02000000000000002a",
+        ),
+        (
+            Frame::BandwidthProbe {
+                probe_id: 7,
+                payload_kb: 256,
+            },
+            "0000000974bfc53a030000000700000100",
+        ),
+        (
+            Frame::BandwidthReport {
+                probe_id: 7,
+                kb_per_sec: 812.75,
+            },
+            "0000000d4112c05604000000074089660000000000",
+        ),
+        (
+            Frame::ShipExecutable {
+                job: JobId(9),
+                program: "wordcount".into(),
+                exe_kb: 30,
+            },
+            "000000187d9fd7ea05000000090009776f7264636f756e74000000000000001e",
+        ),
+        (
+            Frame::ShipInput {
+                job: JobId(9),
+                seq: 12,
+                offset_kb: 0,
+                len_kb: 250,
+                resume_from: Some(Bytes::from_static(b"state")),
+                trace_id: 9,
+                span_id: 7,
+                parent_span: 4,
+                replica: true,
+                data: Bytes::from_static(b"payload"),
+            },
+            "0000004bf9beeada0600000009000000000000000c000000000000000000000000000000fa01\
+             00000005737461746500000000000000090000000000000007000000000000000401000000\
+             077061796c6f6164",
+        ),
+        (
+            Frame::TaskComplete {
+                job: JobId(9),
+                seq: 11,
+                exec_ms: 1234,
+                result: Bytes::from_static(b"42"),
+            },
+            "0000001b45fe71b60700000009000000000000000b00000000000004d2000000023432",
+        ),
+        (
+            Frame::TaskFailed {
+                job: JobId(9),
+                seq: 12,
+                processed_kb: 77,
+                checkpoint: Bytes::from_static(b"ckpt"),
+            },
+            "0000001d760b99030800000009000000000000000c000000000000004d00000004636b7074",
+        ),
+        (
+            Frame::KeepAlive { seq: 1 },
+            "000000093dad9263090000000000000001",
+        ),
+        (
+            Frame::KeepAliveAck { seq: 1 },
+            "000000090420aea60a0000000000000001",
+        ),
+        (Frame::Plugged, "0000000145d036050b"),
+        (Frame::Unplugged, "00000001dbb4a3a60c"),
+        (
+            Frame::CancelTask {
+                job: JobId(9),
+                seq: 12,
+            },
+            "0000000d5087b0420e00000009000000000000000c",
+        ),
+        (Frame::Shutdown, "00000001acb393300d"),
+    ]
+}
+
+#[test]
+fn every_variant_encodes_to_its_golden_bytes() {
+    let golden = golden_frames();
+    // Fourteen variants: a new one must be added here too.
+    assert_eq!(golden.len(), 14);
+    for (frame, hex) in &golden {
+        let mut wire = BytesMut::new();
+        frame.encode(&mut wire);
+        let got: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(&got, hex, "{frame:?}");
+        let mut codec = FrameCodec::new();
+        codec.extend(&wire);
+        assert_eq!(codec.next_frame().unwrap().as_ref(), Some(frame));
+    }
+}
+
+#[test]
+fn encoding_appends_after_existing_bytes() {
+    let mut wire = BytesMut::new();
+    wire.extend_from_slice(b"prefix");
+    let (frame, hex) = &golden_frames()[5];
+    frame.encode(&mut wire);
+    let got: String = wire[6..].iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(&got, hex);
+    assert_eq!(&wire[..6], b"prefix");
+}
+
 proptest! {
+    #[test]
+    fn crc32_matches_the_bitwise_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..4112),
+        start in 0usize..16,
+        len in 0usize..4097,
+    ) {
+        // Unaligned windows of every length up to 4 KiB.
+        let start = start.min(data.len());
+        let end = (start + len).min(data.len());
+        let window = &data[start..end];
+        prop_assert_eq!(crc32(window), crc32_reference(window));
+    }
+
     #[test]
     fn encode_decode_round_trip(frame in frame_strategy()) {
         let mut buf = BytesMut::new();

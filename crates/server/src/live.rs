@@ -46,7 +46,7 @@ use crate::coord::{
     TimerKind,
 };
 use crate::resilience::{BreakerConfig, RetryPolicy};
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use cwc_core::{ReplicationPolicy, SchedulerKind, SpeculationPolicy};
 use cwc_device::{ExecutionOutcome, Executor, TaskRegistry};
 use cwc_net::{
@@ -745,11 +745,12 @@ pub fn run_live_server_observed(
     )
 }
 
-/// Declare a connection lost once its unflushed write queue exceeds this
-/// many bytes: the peer has stopped reading and every queued byte is
-/// memory held hostage. Loopback workers drain orders of magnitude
-/// faster than the coordinator queues, so only a genuinely wedged worker
-/// ever trips this.
+/// Declare a connection lost once this many unflushed bytes queue up
+/// *behind* the write in progress ([`Conn::backlog`]): the peer has
+/// stopped reading while frames pile up, and every queued byte is memory
+/// held hostage. The frame being written never counts — it is bounded by
+/// `MAX_FRAME_LEN` and a healthy phone drains it however large it is, at
+/// its own pace.
 const WRITE_BACKLOG_CAP: usize = 4 * 1024 * 1024;
 
 /// What a send was for — decides what happens when its retries exhaust.
@@ -856,11 +857,12 @@ fn queue_frame(state: &mut ConnState, frame: &Frame) -> Result<(), QueueError> {
     }
     let mut buf = BytesMut::new();
     frame.encode(&mut buf);
-    let verdict = match state.fault.as_mut() {
-        Some(f) => f.on_send(&buf),
-        None => SendVerdict::clean(&buf),
+    let Some(fault) = state.fault.as_mut() else {
+        // No hook: the encoded buffer itself goes onto the write queue.
+        state.conn.queue_bytes(buf.into());
+        return Ok(());
     };
-    match verdict {
+    match fault.on_send(&buf) {
         SendVerdict::Deliver(ops) => {
             for op in ops {
                 match op {
@@ -925,12 +927,19 @@ fn drain_blocking(state: &mut ConnState) -> CwcResult<()> {
     }
 }
 
+/// A job as the driver holds it: its input is shared, so each ship sends a
+/// window onto it instead of a copy.
+struct CatalogJob {
+    program: String,
+    input: Bytes,
+}
+
 /// The reactor driver around the kernel: owns the poller, every
 /// connection, the timer wheel, and the collected result bytes. One
 /// thread; nothing here blocks.
 struct LiveDriver<'a> {
     kernel: Kernel,
-    catalog: &'a BTreeMap<JobId, LiveJob>,
+    catalog: &'a BTreeMap<JobId, CatalogJob>,
     ids: Vec<PhoneId>,
     conns: Vec<ConnState>,
     poller: Poller,
@@ -1079,7 +1088,7 @@ impl LiveDriver<'_> {
             return;
         };
         let from = (offset_kb as usize * 1024).min(entry.input.len());
-        let to = ((offset_kb + len_kb) as usize * 1024).min(entry.input.len());
+        let to = ((offset_kb + len_kb) as usize * 1024).clamp(from, entry.input.len());
         let frames = VecDeque::from(vec![
             Frame::ShipExecutable {
                 job,
@@ -1096,10 +1105,8 @@ impl LiveDriver<'_> {
                 span_id: trace.span_id,
                 parent_span: trace.parent_or_zero(),
                 replica,
-                // from/to are both clamped to entry.input.len() above, so
-                // the range is always valid; get() keeps that local
-                // reasoning out of the panic path.
-                data: bytes::Bytes::copy_from_slice(entry.input.get(from..to).unwrap_or(&[])),
+                // from <= to <= input.len(): both are clamped above.
+                data: entry.input.slice(from..to),
             },
         ]);
         let stage = if self.initial_ship {
@@ -1221,11 +1228,7 @@ impl LiveDriver<'_> {
             status,
             Ok(FlushStatus::Blocked | FlushStatus::Paused(_) | FlushStatus::Held)
         ) {
-            let backlog = self
-                .conns
-                .get(slot)
-                .map(|s| s.conn.queued_bytes())
-                .unwrap_or(0);
+            let backlog = self.conns.get(slot).map(|s| s.conn.backlog()).unwrap_or(0);
             if backlog > WRITE_BACKLOG_CAP {
                 self.declare_lost(
                     slot,
@@ -1503,7 +1506,16 @@ pub fn run_live_server_with(
         &policy,
         obs.clone(),
     )?)?;
-    let catalog: BTreeMap<JobId, LiveJob> = jobs.iter().map(|j| (j.spec.id, j.clone())).collect();
+    let catalog: BTreeMap<JobId, CatalogJob> = jobs
+        .into_iter()
+        .map(|j| {
+            let job = CatalogJob {
+                program: j.spec.program,
+                input: j.input.into(),
+            };
+            (j.spec.id, job)
+        })
+        .collect();
 
     // --- Accept + register the fleet in one phase (non-blocking,
     // burst-drained). Reading each `Register` as soon as its connection
@@ -1759,7 +1771,7 @@ pub fn run_live_server_with(
         let mut pieces = driver.partials.remove(&id).unwrap_or_default();
         pieces.sort_by_key(|(off, _)| *off);
         let ordered: Vec<Vec<u8>> = pieces.into_iter().map(|(_, r)| r).collect();
-        let program = registry.load(&job.spec.program)?;
+        let program = registry.load(&job.program)?;
         match program.aggregate(&ordered) {
             Ok(r) => {
                 results.insert(id, r);
@@ -1978,6 +1990,176 @@ mod tests {
         assert!(out.failure.is_none());
 
         killer.join().unwrap();
+    }
+
+    /// A hand-driven phone on a blocking socket: registers, answers the
+    /// bandwidth probe, then hands every later frame to `serve` until
+    /// it returns `false` or the server hangs up. Each socket read takes
+    /// at most `per_read` bytes and is followed by `pause`.
+    fn scripted_phone(
+        addr: SocketAddr,
+        per_read: usize,
+        pause: Duration,
+        mut serve: impl FnMut(Frame, &mut std::net::TcpStream) -> bool,
+    ) {
+        use std::io::{Read as _, Write as _};
+        let send = |stream: &mut std::net::TcpStream, frame: Frame| {
+            let mut buf = BytesMut::new();
+            frame.encode(&mut buf);
+            stream.write_all(&buf).unwrap();
+        };
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        send(
+            &mut stream,
+            Frame::Register {
+                phone: PhoneId(0),
+                clock_mhz: 1200,
+                cores: 2,
+                radio: RadioTech::Wifi80211g,
+                ram_kb: 1 << 20,
+            },
+        );
+        let mut codec = cwc_net::FrameCodec::new();
+        let mut chunk = vec![0u8; per_read];
+        loop {
+            while let Some(frame) = codec.next_frame().unwrap() {
+                match frame {
+                    Frame::RegisterAck { .. } => {}
+                    Frame::BandwidthProbe { probe_id, .. } => send(
+                        &mut stream,
+                        Frame::BandwidthReport {
+                            probe_id,
+                            kb_per_sec: 800.0,
+                        },
+                    ),
+                    other => {
+                        if !serve(other, &mut stream) {
+                            return;
+                        }
+                    }
+                }
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => codec.extend(&chunk[..n]),
+            }
+            thread::sleep(pause);
+        }
+    }
+
+    #[test]
+    fn one_oversize_partition_to_a_slow_phone_completes() {
+        // 12 MiB in one frame, three times the write-backlog cap, drained
+        // 64 KiB per millisecond: the frame in flight never counts
+        // against the cap, so the phone is not dropped. The phone counts
+        // 1 if the bytes it got are the job's input, so the run's result
+        // checks the payload end to end.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let input: Vec<u8> = (0..12u32 << 20).map(|i| (i % 251) as u8).collect();
+        let expected = input.clone();
+        let phone = thread::spawn(move || {
+            scripted_phone(
+                addr,
+                64 * 1024,
+                Duration::from_millis(1),
+                |frame, stream| {
+                    use std::io::Write as _;
+                    let reply = match frame {
+                        Frame::ShipExecutable { .. } => return true,
+                        Frame::Shutdown => return false,
+                        Frame::KeepAlive { seq } => Frame::KeepAliveAck { seq },
+                        Frame::ShipInput { job, seq, data, .. } => Frame::TaskComplete {
+                            job,
+                            seq,
+                            exec_ms: 1,
+                            result: Bytes::copy_from_slice(
+                                &u64::from(data[..] == expected[..]).to_be_bytes(),
+                            ),
+                        },
+                        other => panic!("unexpected {other:?}"),
+                    };
+                    let mut buf = BytesMut::new();
+                    reply.encode(&mut buf);
+                    stream.write_all(&buf).unwrap();
+                    true
+                },
+            );
+        });
+        let jobs = vec![LiveJob::new(
+            JobId(0),
+            JobKind::Atomic,
+            "wordcount",
+            25,
+            input,
+        )];
+        let out = run_live_server(
+            listener,
+            1,
+            jobs,
+            standard_registry(),
+            SchedulerKind::Greedy,
+            Duration::from_secs(60),
+        )
+        .unwrap();
+        assert!(out.failure.is_none(), "{:?}", out.failure);
+        assert_eq!(out.results[&JobId(0)], 1u64.to_be_bytes());
+        phone.join().unwrap();
+    }
+
+    #[test]
+    fn a_wedged_phone_with_frames_queued_behind_is_declared_lost() {
+        // Every data frame goes out twice (injected duplication), and the
+        // phone stops reading after registering: the second copy of the
+        // 12 MiB input piles up behind the first, past the cap.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, wedged) = std::sync::mpsc::channel::<()>();
+        let phone = thread::spawn(move || {
+            scripted_phone(addr, 64 * 1024, Duration::ZERO, |_, _| {
+                // Stop reading, with the connection left open.
+                wedged.recv().ok();
+                false
+            });
+        });
+        let obs = cwc_obs::Obs::new();
+        let sink = Arc::new(cwc_obs::MemorySink::new());
+        obs.bus.attach(sink.clone());
+        let policy = LivePolicy {
+            chaos: Some(cwc_chaos::FaultPlan::new(
+                7,
+                cwc_chaos::FaultProfile::single(cwc_chaos::FaultKind::Duplicate, 1.0),
+            )),
+            ..LivePolicy::default()
+        };
+        let jobs = vec![LiveJob::new(
+            JobId(0),
+            JobKind::Atomic,
+            "wordcount",
+            25,
+            vec![b'x'; 12 << 20],
+        )];
+        let out = run_live_server_with(
+            listener,
+            1,
+            jobs,
+            standard_registry(),
+            SchedulerKind::Greedy,
+            Duration::from_secs(60),
+            policy,
+            &obs,
+        )
+        .unwrap();
+        release.send(()).unwrap();
+        phone.join().unwrap();
+        let failure = out.failure.expect("the wedged phone must be lost");
+        assert_eq!(failure.workers_lost, 1);
+        assert!(
+            sink.take()
+                .iter()
+                .any(|e| e.to_json().contains("write backlog exceeded")),
+            "lost for another reason"
+        );
     }
 
     #[test]
